@@ -1,6 +1,5 @@
 // Command leraserver serves the LERA pipeline to network clients: an
-// HTTP/JSON API and a newline-delimited line protocol multiplexed on one
-// listener, multi-tenant guard budgets, admission control with typed
+// HTTP/JSON API, multi-tenant guard budgets, admission control with typed
 // shedding, graceful drain on SIGTERM/SIGINT, and an optional
 // deterministic chaos mode for robustness testing. See docs/SERVER.md.
 //
@@ -10,8 +9,7 @@
 //
 // Endpoints: POST/GET /query, GET /metrics (Prometheus text), GET
 // /healthz (503 while draining), GET /debug/slowlog (the slow-query
-// capture ring; docs/OBSERVABILITY.md). The line protocol speaks
-// lowercase verbs: tenant, query, ping, quit. With -pprof-addr a
+// capture ring; docs/OBSERVABILITY.md). With -pprof-addr a
 // net/http/pprof server runs on a separate listener (off by default —
 // profiling endpoints never share the query port).
 package main
@@ -47,8 +45,6 @@ type options struct {
 	parallelism  int
 	planCache    int
 	planCacheVal int
-	rowEngine    bool
-	batchSize    int
 	maxMem       int64
 	spillDir     string
 
@@ -62,7 +58,7 @@ type options struct {
 
 func main() {
 	var o options
-	flag.StringVar(&o.addr, "addr", "127.0.0.1:7457", "listen address for both protocols")
+	flag.StringVar(&o.addr, "addr", "127.0.0.1:7457", "HTTP listen address")
 	flag.BoolVar(&o.films, "films", false, "load the paper's Figure 2-5 example database")
 	flag.StringVar(&o.initFile, "init", "", "ESQL file executed at boot (DDL, views, INSERTs)")
 	flag.StringVar(&o.rulesFile, "rules", "", "extra rule-language source merged into the rule base")
@@ -75,8 +71,6 @@ func main() {
 	flag.IntVar(&o.parallelism, "parallelism", 1, "intra-query parallelism per session (0 = GOMAXPROCS)")
 	flag.IntVar(&o.planCache, "plancache", 0, "plan-cache entries shared by the session pool (0 = off)")
 	flag.IntVar(&o.planCacheVal, "plancache-validate", 0, "re-validate every n'th plan-cache hit against a cold rewrite (0 = off)")
-	engineName := flag.String("engine", "batch", "execution engine: batch or row (bit-identical responses, docs/PERF.md)")
-	flag.IntVar(&o.batchSize, "batch-size", 0, "rows per batch for the batched engine (0 = default; responses never depend on it)")
 	flag.Int64Var(&o.maxMem, "max-mem", 0, "per-operator memory grant in bytes for tenants without their own maxMemBytes (0 = ungoverned)")
 	flag.StringVar(&o.spillDir, "spill-dir", "", "directory for spill files when an operator outgrows its memory grant (empty = fail with MEM_BUDGET)")
 	flag.StringVar(&o.queryLog, "query-log", "", "structured query log: JSON-lines file, one wide event per request ('-' = stderr)")
@@ -86,15 +80,6 @@ func main() {
 	flag.DurationVar(&o.slowThreshold, "slow-threshold", 0, "slow-query capture latency threshold (0 = default 500ms)")
 	flag.StringVar(&o.pprofAddr, "pprof-addr", "", "serve net/http/pprof on this address (empty = off)")
 	flag.Parse()
-	if *engineName != "batch" && *engineName != "row" {
-		fmt.Fprintf(os.Stderr, "leraserver: unknown -engine %q (want batch or row)\n", *engineName)
-		os.Exit(2)
-	}
-	o.rowEngine = *engineName == "row"
-	if o.batchSize < 0 {
-		fmt.Fprintln(os.Stderr, "leraserver: -batch-size must be >= 0")
-		os.Exit(2)
-	}
 	if err := run(o); err != nil {
 		fmt.Fprintln(os.Stderr, "leraserver:", err)
 		os.Exit(1)
@@ -113,8 +98,6 @@ func run(o options) error {
 		Parallelism:         o.parallelism,
 		PlanCache:           o.planCache,
 		PlanCacheValidation: o.planCacheVal,
-		RowEngine:           o.rowEngine,
-		BatchSize:           o.batchSize,
 		MaxMemBytes:         o.maxMem,
 		SpillDir:            o.spillDir,
 		Observer:            ob,
@@ -206,6 +189,6 @@ func run(o options) error {
 		}
 	}()
 
-	fmt.Fprintf(os.Stderr, "leraserver: listening on %s (HTTP + line protocol)\n", o.addr)
+	fmt.Fprintf(os.Stderr, "leraserver: listening on %s (HTTP)\n", o.addr)
 	return srv.ListenAndServe(o.addr)
 }

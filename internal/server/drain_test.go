@@ -6,12 +6,10 @@ package server
 // listener stops accepting connections.
 
 import (
-	"bufio"
 	"context"
-	"encoding/json"
-	"fmt"
+	"errors"
 	"net"
-	"strings"
+	"net/http"
 	"testing"
 	"time"
 
@@ -38,8 +36,8 @@ func drainServer(t *testing.T, cfg Config) (*Server, string, chan error) {
 }
 
 // TestDrainWaitsForInFlight: a query executing when drain begins runs to
-// completion; drain returns clean; Serve unblocks; the port refuses new
-// connections.
+// completion; drain returns clean; Serve unblocks; the port answers no
+// further requests.
 func TestDrainWaitsForInFlight(t *testing.T) {
 	srv, addr, done := drainServer(t, Config{DrainTimeout: 10 * time.Second})
 	srv.Injector().Set("COUNT", guard.Fault{Mode: guard.FaultStall, Stall: 150 * time.Millisecond})
@@ -69,15 +67,43 @@ func TestDrainWaitsForInFlight(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Serve did not return after drain")
 	}
-	if conn, err := net.DialTimeout("tcp", addr, time.Second); err == nil {
-		// A TCP dial may still connect before the OS reaps the socket,
-		// but no request may be answered on it.
-		_ = conn.SetReadDeadline(time.Now().Add(time.Second))
-		fmt.Fprintln(conn, "ping")
-		if resp, err := bufio.NewReader(conn).ReadString('\n'); err == nil {
-			t.Fatalf("drained listener answered %q", strings.TrimSpace(resp))
+	hc := &http.Client{Timeout: time.Second}
+	if resp, err := hc.Get("http://" + addr + "/healthz"); err == nil {
+		resp.Body.Close()
+		t.Fatalf("drained server answered /healthz with %s", resp.Status)
+	}
+}
+
+// TestDrainBeforeServe: a Serve that starts after Drain has finished
+// closes its listener and returns the drain result instead of accepting
+// forever.
+func TestDrainBeforeServe(t *testing.T) {
+	srv, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := srv.Drain(ctx); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- srv.Serve(ln) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("Serve after a clean drain returned %v", err)
 		}
-		conn.Close()
+	case <-time.After(2 * time.Second):
+		ln.Close()
+		t.Fatal("Serve kept accepting after Drain")
+	}
+	if _, err := ln.Accept(); !errors.Is(err, net.ErrClosed) {
+		t.Fatalf("listener still open after Serve returned: %v", err)
 	}
 }
 
@@ -125,22 +151,26 @@ func TestDrainCancelsAtDeadline(t *testing.T) {
 	}
 }
 
-// TestDrainRefusesNewWork: a connection opened before drain still gets
-// typed DRAINING answers for queries sent while the server drains.
+// keepAliveClient is a client that holds one idle connection open and
+// never retries, so a query after the listener closes can only be
+// answered on the connection it opened before.
+func keepAliveClient(addr string) *Client {
+	c := NewClient("http://" + addr)
+	c.HTTP = &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 1}}
+	c.Retry.MaxAttempts = 1
+	return c
+}
+
+// TestDrainRefusesNewWork: a keep-alive connection opened before drain
+// still gets typed DRAINING answers for queries sent while the server
+// drains.
 func TestDrainRefusesNewWork(t *testing.T) {
 	srv, addr, done := drainServer(t, Config{DrainTimeout: 5 * time.Second})
 	srv.Injector().Set("COUNT", guard.Fault{Mode: guard.FaultStall, Stall: 100 * time.Millisecond})
 
-	// Pre-drain line connection.
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	br := bufio.NewReader(conn)
-	fmt.Fprintln(conn, "ping")
-	if resp, _ := br.ReadString('\n'); strings.TrimSpace(resp) != "pong" {
-		t.Fatalf("pre-drain ping failed: %q", resp)
+	c := keepAliveClient(addr)
+	if out := c.Query(context.Background(), filmQuery); out.Code != guard.CodeOK {
+		t.Fatalf("pre-drain query: code=%s err=%v", out.Code, out.Err)
 	}
 
 	// Hold a slot so drain stays in its waiting phase.
@@ -159,17 +189,12 @@ func TestDrainRefusesNewWork(t *testing.T) {
 	}()
 	waitFor(t, func() bool { return srv.gate.Draining() }, "gate never started draining")
 
-	fmt.Fprintln(conn, "query "+filmQuery)
-	line, err := br.ReadString('\n')
-	if err != nil {
-		t.Fatalf("draining server must answer, not drop: %v", err)
+	out := c.Query(context.Background(), filmQuery)
+	if out.Err != nil {
+		t.Fatalf("draining server must answer, not drop: %v", out.Err)
 	}
-	var resp Response
-	if err := json.Unmarshal([]byte(line), &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Code != string(guard.CodeDraining) {
-		t.Fatalf("query during drain: code=%s, want DRAINING", resp.Code)
+	if out.Code != guard.CodeDraining {
+		t.Fatalf("query during drain: code=%s, want DRAINING", out.Code)
 	}
 
 	if out := <-slow; out.Code != guard.CodeOK {
@@ -182,6 +207,29 @@ func TestDrainRefusesNewWork(t *testing.T) {
 		t.Error("draining_rejected counter never incremented")
 	}
 	<-done
+}
+
+// TestServerConnectionsGauge: lera_server_connections counts an open
+// keep-alive connection and falls back to 0 once the drain has shut it.
+func TestServerConnectionsGauge(t *testing.T) {
+	srv, addr, done := drainServer(t, Config{})
+	gauge := srv.Metrics().Gauge("lera_server_connections", "")
+
+	c := keepAliveClient(addr)
+	if out := c.Query(context.Background(), filmQuery); out.Code != guard.CodeOK {
+		t.Fatalf("query: code=%s err=%v", out.Code, out.Err)
+	}
+	if n := gauge.Value(); n != 1 {
+		t.Fatalf("connections = %d with one keep-alive client, want 1", n)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := srv.Drain(ctx); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	<-done
+	waitFor(t, func() bool { return gauge.Value() == 0 }, "connections gauge never returned to 0 after drain")
 }
 
 func waitInFlight(t *testing.T, srv *Server) {

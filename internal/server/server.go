@@ -1,11 +1,10 @@
 // Package server is the multi-tenant network front end over the LERA
-// pipeline: an HTTP/JSON API and a newline-delimited line protocol on
-// one listener, a bounded pool of forked core.Sessions over a shared
-// immutable catalog + rule base + data snapshot, per-tenant guard
-// budgets, admission control with typed shedding (guard.Gate), graceful
-// drain, per-request panic isolation, and a deterministic chaos mode
-// (guard.Injector) so every overload and fault path is testable rather
-// than asserted. See docs/SERVER.md.
+// pipeline: an HTTP/JSON API served by net/http, a bounded pool of
+// forked core.Sessions over a shared immutable catalog + rule base +
+// data snapshot, per-tenant guard budgets, admission control with typed
+// shedding (guard.Gate), graceful drain, per-request panic isolation,
+// and a deterministic chaos mode (guard.Injector) so every overload and
+// fault path is testable rather than asserted. See docs/SERVER.md.
 //
 // The robustness contract: every request receives exactly one typed
 // outcome — rows, a degraded-but-correct answer with the degradation
@@ -16,7 +15,6 @@
 package server
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -66,12 +64,6 @@ type Config struct {
 	// Parallelism is each pooled session's intra-query worker pool size
 	// (0 = GOMAXPROCS, 1 = serial).
 	Parallelism int
-	// RowEngine selects the tuple-at-a-time execution oracle instead of
-	// the default batched engine (bit-identical responses; docs/PERF.md).
-	RowEngine bool
-	// BatchSize is the batched engine's rows-per-batch granularity
-	// (0 = engine default). Responses never depend on it.
-	BatchSize int
 	// PlanCache, when > 0, arms a plan cache of that many entries,
 	// shared read-mostly by every pooled session (core.WithPlanCache;
 	// docs/PLANCACHE.md). Repeated query shapes then skip the rewriter,
@@ -124,12 +116,11 @@ type Config struct {
 // DefaultSlowLogSize is the slow-query ring capacity unless configured.
 const DefaultSlowLogSize = 64
 
-// Response is the JSON answer to one query, and the single vocabulary
-// both protocols speak: Code is always set; OK responses carry columns
-// and rows (plus the degradation record when the rewriter fell back);
-// every failure carries the typed code and message. Rows are rendered
-// values (value.Value.String), bit-identical to what FormatResult prints
-// for the embedded session.
+// Response is the JSON answer to one query: Code is always set; OK
+// responses carry columns and rows (plus the degradation record when the
+// rewriter fell back); every failure carries the typed code and message.
+// Rows are rendered values (value.Value.String), bit-identical to what
+// FormatResult prints for the embedded session.
 type Response struct {
 	Code    string     `json:"code"`
 	Error   string     `json:"error,omitempty"`
@@ -167,12 +158,10 @@ type Server struct {
 	baseCtx context.Context
 	cancel  context.CancelFunc
 
-	httpLn  *chanListener
 	httpSrv *http.Server
 
 	mu        sync.Mutex
 	ln        net.Listener
-	conns     map[net.Conn]struct{}
 	draining  bool
 	drained   chan struct{}
 	drainErr  error
@@ -215,9 +204,6 @@ func New(cfg Config) (*Server, error) {
 		opts = append(opts, core.WithRules(cfg.Rules))
 	}
 	opts = append(opts, core.WithInjector(inj))
-	if cfg.RowEngine {
-		opts = append(opts, core.WithRowEngine())
-	}
 	if cfg.PlanCache > 0 {
 		opts = append(opts, core.WithPlanCache(cfg.PlanCache))
 		if cfg.PlanCacheValidation > 0 {
@@ -227,7 +213,6 @@ func New(cfg Config) (*Server, error) {
 	base := core.NewSession(opts...)
 	base.Obs = ob
 	base.Parallelism = cfg.Parallelism
-	base.BatchSize = cfg.BatchSize
 	base.SpillDir = cfg.SpillDir
 	if cfg.LoadFilms {
 		if err := loadFilms(base); err != nil {
@@ -254,7 +239,6 @@ func New(cfg Config) (*Server, error) {
 		slow:    core.NewSlowLog(slowSize, cfg.SlowThreshold),
 		base:    base,
 		pool:    make(chan *core.Session, cfg.MaxInFlight),
-		conns:   map[net.Conn]struct{}{},
 		drained: make(chan struct{}),
 	}
 	s.baseCtx, s.cancel = context.WithCancel(context.Background())
@@ -281,6 +265,7 @@ func New(cfg Config) (*Server, error) {
 	s.httpSrv = &http.Server{
 		Handler:     mux,
 		BaseContext: func(net.Listener) context.Context { return s.baseCtx },
+		ConnState:   s.trackConn,
 	}
 	return s, nil
 }
@@ -325,86 +310,49 @@ func (s *Server) ListenAndServe(addr string) error {
 	return s.Serve(ln)
 }
 
-// Serve accepts connections on ln, sniffing each connection's first byte
-// to route it: HTTP methods are uppercase ASCII, line-protocol verbs are
-// lowercase, so one port serves both. Serve blocks until Drain finishes
-// (returning the drain result) or the listener fails.
+// Serve serves HTTP on ln until Drain finishes (returning the drain
+// result) or the listener fails. A Serve that starts once a drain has
+// begun closes ln and returns the drain result.
 func (s *Server) Serve(ln net.Listener) error {
 	s.mu.Lock()
+	if s.draining {
+		s.mu.Unlock()
+		_ = ln.Close()
+		return s.drainResult()
+	}
 	s.ln = ln
 	s.mu.Unlock()
 
-	s.httpLn = newChanListener(ln.Addr())
-	httpDone := make(chan error, 1)
-	go func() { httpDone <- s.httpSrv.Serve(s.httpLn) }()
-
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			s.mu.Lock()
-			draining := s.draining
-			s.mu.Unlock()
-			if draining {
-				<-s.drained
-				<-httpDone // http.Server exits once its chan listener closes
-				s.mu.Lock()
-				defer s.mu.Unlock()
-				return s.drainErr
-			}
-			return err
-		}
-		go s.dispatch(conn)
+	err := s.httpSrv.Serve(ln)
+	s.mu.Lock()
+	draining := s.draining
+	s.mu.Unlock()
+	if draining {
+		return s.drainResult()
 	}
+	return err
 }
 
-// Addr returns the bound listener address (nil before Serve).
-func (s *Server) Addr() net.Addr {
+// drainResult waits for the drain to finish and returns its error.
+func (s *Server) drainResult() error {
+	<-s.drained
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.ln == nil {
-		return nil
-	}
-	return s.ln.Addr()
+	return s.drainErr
 }
 
-// dispatch sniffs one connection and hands it to the right protocol.
-func (s *Server) dispatch(conn net.Conn) {
-	s.trackConn(conn, true)
-	br := bufio.NewReader(conn)
-	_ = conn.SetReadDeadline(time.Now().Add(30 * time.Second))
-	first, err := br.Peek(1)
-	_ = conn.SetReadDeadline(time.Time{})
-	if err != nil {
-		s.trackConn(conn, false)
-		_ = conn.Close()
-		return
+// trackConn keeps the connections gauge as the HTTP server's ConnState
+// hook.
+func (s *Server) trackConn(_ net.Conn, st http.ConnState) {
+	switch st {
+	case http.StateNew:
+		s.m.connections.Add(1)
+	case http.StateClosed, http.StateHijacked:
+		s.m.connections.Add(-1)
 	}
-	pc := &peekedConn{Conn: conn, r: br}
-	if first[0] >= 'A' && first[0] <= 'Z' {
-		// HTTP request line ("GET ", "POST ", ...): the HTTP server owns
-		// the connection from here; its lifecycle untracks it.
-		s.httpLn.deliver(pc, func() { s.trackConn(conn, false) })
-		return
-	}
-	defer s.trackConn(conn, false)
-	s.serveLine(pc, br)
 }
 
-// trackConn maintains the connection set (for drain-time close) and the
-// connections gauge.
-func (s *Server) trackConn(c net.Conn, add bool) {
-	s.mu.Lock()
-	if add {
-		s.conns[c] = struct{}{}
-	} else {
-		delete(s.conns, c)
-	}
-	n := len(s.conns)
-	s.mu.Unlock()
-	s.m.connections.Set(int64(n))
-}
-
-// handleQuery is the one request path both protocols share: chaos hook,
+// handleQuery is the request path behind /query: chaos hook,
 // admission, session checkout, guarded execution, typed response. It
 // never panics — a panic anywhere inside is isolated per request,
 // counted, and answered as INTERNAL.
@@ -618,19 +566,16 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v)
 }
 
-// Drain gracefully shuts the server down: stop accepting connections,
-// refuse new queries with DRAINING, wait DrainTimeout for in-flight work,
-// cancel what remains and wait DrainGrace for the cancellations to land,
-// then close surviving connections and flush a final metrics snapshot to
-// ErrorLog. Idempotent; concurrent callers share one drain. The returned
+// Drain gracefully shuts the server down: close the listener, refuse new
+// queries with DRAINING, wait DrainTimeout for in-flight work, cancel
+// what remains and wait DrainGrace for the cancellations to land, then
+// let the HTTP server shut its connections and flush a final metrics
+// snapshot to ErrorLog. Idempotent; concurrent callers share one drain. The returned
 // error is nil on a clean drain and the typed deadline error when
 // in-flight work had to be cancelled or outlived the grace period.
 func (s *Server) Drain(ctx context.Context) error {
 	s.drainOnce.Do(func() { s.drain(ctx) })
-	<-s.drained
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.drainErr
+	return s.drainResult()
 }
 
 func (s *Server) drain(ctx context.Context) {
@@ -640,7 +585,10 @@ func (s *Server) drain(ctx context.Context) {
 	s.mu.Unlock()
 	s.m.drainState.Set(1)
 	if ln != nil {
-		_ = ln.Close() // stop accepting; Serve's accept loop sees draining
+		// Close the listener only: keep-alive connections opened before
+		// the drain still get typed DRAINING answers until the shutdown
+		// below.
+		_ = ln.Close()
 	}
 
 	dctx, cancel := context.WithTimeout(ctx, s.cfg.DrainTimeout)
@@ -661,20 +609,12 @@ func (s *Server) drain(ctx context.Context) {
 	}
 	s.cancel() // idle pool sessions need no context beyond this point
 
-	// Close the HTTP side and any line connections still open.
+	// Shut idle connections, give active ones a bounded second to finish
+	// their response, then close whatever is left.
 	sctx, scancel := context.WithTimeout(context.Background(), time.Second)
 	_ = s.httpSrv.Shutdown(sctx)
 	scancel()
-	if s.httpLn != nil {
-		_ = s.httpLn.Close()
-	}
-	s.mu.Lock()
-	for c := range s.conns {
-		_ = c.Close()
-	}
-	s.conns = map[net.Conn]struct{}{}
-	s.mu.Unlock()
-	s.m.connections.Set(0)
+	_ = s.httpSrv.Close()
 	s.m.drainState.Set(0)
 
 	// Flush and close the query log first so its final accounting lands
@@ -704,67 +644,3 @@ func (s *Server) logf(format string, args ...any) {
 		fmt.Fprintf(s.cfg.ErrorLog, "leraserver: "+format+"\n", args...)
 	}
 }
-
-// --- listener plumbing -------------------------------------------------
-
-// peekedConn is a net.Conn whose first bytes were consumed into a
-// bufio.Reader by protocol sniffing; reads drain the buffer first.
-type peekedConn struct {
-	net.Conn
-	r         *bufio.Reader
-	onClose   func()
-	closeOnce sync.Once
-}
-
-func (c *peekedConn) Read(p []byte) (int, error) { return c.r.Read(p) }
-
-func (c *peekedConn) Close() error {
-	err := c.Conn.Close()
-	c.closeOnce.Do(func() {
-		if c.onClose != nil {
-			c.onClose()
-		}
-	})
-	return err
-}
-
-// chanListener adapts sniffed connections into a net.Listener for
-// http.Server.
-type chanListener struct {
-	ch   chan net.Conn
-	addr net.Addr
-	done chan struct{}
-	once sync.Once
-}
-
-func newChanListener(addr net.Addr) *chanListener {
-	return &chanListener{ch: make(chan net.Conn), addr: addr, done: make(chan struct{})}
-}
-
-// deliver hands a sniffed connection to the HTTP server; onClose fires
-// when the HTTP side closes it (or immediately when the listener is
-// already closed).
-func (l *chanListener) deliver(c *peekedConn, onClose func()) {
-	c.onClose = onClose
-	select {
-	case l.ch <- c:
-	case <-l.done:
-		_ = c.Close()
-	}
-}
-
-func (l *chanListener) Accept() (net.Conn, error) {
-	select {
-	case c := <-l.ch:
-		return c, nil
-	case <-l.done:
-		return nil, net.ErrClosed
-	}
-}
-
-func (l *chanListener) Close() error {
-	l.once.Do(func() { close(l.done) })
-	return nil
-}
-
-func (l *chanListener) Addr() net.Addr { return l.addr }

@@ -1,11 +1,10 @@
 package server
 
 // Server behavior under normal load: bit-identity with the embedded
-// session, both protocols on one listener, typed shedding, per-tenant
-// budgets, typed parse errors, and a clean /metrics scrape.
+// session, typed shedding, per-tenant budgets, typed parse errors, and
+// a clean /metrics scrape.
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -95,59 +94,6 @@ func TestServerBitIdenticalToEmbedded(t *testing.T) {
 	}
 	if *resp.Counters != want.Report.ExecCounters {
 		t.Errorf("served counters %+v differ from embedded %+v", *resp.Counters, want.Report.ExecCounters)
-	}
-}
-
-// TestServerLineProtocol: the lowercase line protocol shares the listener
-// with HTTP and answers the same JSON Response per query.
-func TestServerLineProtocol(t *testing.T) {
-	srv, base := startServer(t, Config{
-		Tenants: Tenants{"free": {MaxRows: 1000}},
-	})
-	_ = srv
-
-	conn, err := net.Dial("tcp", strings.TrimPrefix(base, "http://"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	br := bufio.NewReader(conn)
-	send := func(line string) string {
-		t.Helper()
-		if _, err := fmt.Fprintln(conn, line); err != nil {
-			t.Fatal(err)
-		}
-		resp, err := br.ReadString('\n')
-		if err != nil {
-			t.Fatal(err)
-		}
-		return strings.TrimSpace(resp)
-	}
-
-	if got := send("ping"); got != "pong" {
-		t.Fatalf("ping = %q", got)
-	}
-	if got := send("tenant free"); got != "ok free" {
-		t.Fatalf("tenant = %q", got)
-	}
-	var resp Response
-	if err := json.Unmarshal([]byte(send("query "+filmQuery)), &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Code != string(guard.CodeOK) || resp.RowsN == 0 {
-		t.Fatalf("line query: %+v", resp)
-	}
-	if resp.Tenant != "free" {
-		t.Fatalf("tenant echoed %q, want free", resp.Tenant)
-	}
-	if err := json.Unmarshal([]byte(send("q nonsense !!")), &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Code != string(guard.CodeParse) {
-		t.Fatalf("bad query code = %s", resp.Code)
-	}
-	if got := send("quit"); got != "bye" {
-		t.Fatalf("quit = %q", got)
 	}
 }
 
@@ -355,7 +301,6 @@ func TestServerMetricsScrape(t *testing.T) {
 		`lera_server_requests_total{tenant="default",code="OK"} 5`,
 		"lera_server_admitted_total 5",
 		"lera_server_queries_ok_total 5",
-		"lera_server_code_ok_total 5",
 		`lera_server_request_seconds_count{tenant="default"} 5`,
 		"lera_server_sessions",
 		"lera_queries_total", // session metrics share the scrape
