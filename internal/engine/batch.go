@@ -141,7 +141,7 @@ func (db *DB) evalFilterBatch(t *term.Term, e env) (*Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	kept, err := db.mapRowChunks(in.Rows, func(w *DB, chunk [][]value.Value) ([][]value.Value, error) {
+	kept, err := db.mapRowChunks(in.Rows, 1, func(w *DB, chunk [][]value.Value) ([][]value.Value, error) {
 		var out [][]value.Value
 		bs := w.batchSize()
 		ctxRows := make([][]value.Value, 1) // reused single-relation row context

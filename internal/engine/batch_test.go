@@ -10,6 +10,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -54,11 +55,25 @@ func diffCorpus() map[string]*term.Term {
 		lera.Ands(lera.Cmp("=", lera.Call("Name", lera.Attr(1, 2)), term.Str("Quinn"))),
 		[]*term.Term{lera.Call("Name", lera.Attr(1, 1))},
 	)
+	// A three-relation chain join: the second probe reads its key through
+	// the prefix's APPEARS_IN reference, the "+" comparison spanning FILM
+	// and DOMINATE never compiles, and the CALL projection reads
+	// APPEARS_IN through the generic evaluator.
+	chain3 := lera.Search(
+		[]*term.Term{lera.Rel("FILM"), lera.Rel("APPEARS_IN"), lera.Rel("DOMINATE")},
+		lera.Ands(
+			lera.Cmp("=", lera.Attr(1, 1), lera.Attr(2, 1)),
+			lera.Cmp("=", lera.Attr(2, 2), lera.Attr(3, 2)),
+			lera.Cmp("<", lera.Attr(1, 1), term.F("+", lera.Attr(3, 1), term.Num(1))),
+		),
+		[]*term.Term{lera.Attr(1, 2), lera.Call("Salary", lera.Attr(2, 2)), lera.Attr(3, 3)},
+	)
 	filmIDs := func(rel string) *term.Term {
 		return lera.Search([]*term.Term{lera.Rel(rel)}, lera.TrueQual(), []*term.Term{lera.Attr(1, 1)})
 	}
 	return map[string]*term.Term{
 		"fig3-hash-join":   fig3,
+		"three-way-chain":  chain3,
 		"fig4-nest-all":    fig4,
 		"fig5-fixpoint":    fig5,
 		"union":            lera.Union(filmIDs("FILM"), filmIDs("APPEARS_IN")),
@@ -193,41 +208,51 @@ func TestBatchEngineBitIdentityUnderLimits(t *testing.T) {
 // TestBatchEngineFaultParity arms deterministic ADT faults and checks the
 // engines fail identically: with an injector present the batch engine
 // must disable its compiled comparisons, so every ADT hit — and therefore
-// the fault call index — matches the oracle exactly.
+// the fault call index — matches the oracle exactly. The three-way chain
+// faults in the predicate spanning its first and third relations, which
+// the batch engine evaluates through the joined prefix's references.
 func TestBatchEngineFaultParity(t *testing.T) {
-	q := diffCorpus()["fig3-hash-join"]
-	for _, call := range []int{1, 2} {
-		run := func(row bool, bs int) engineRun {
-			db := loadedDB(t)
-			inj := guard.NewInjector()
-			// MEMBER reaches the ADT registry (Name resolves as a field
-			// projection and never hits the injector).
-			inj.Set("MEMBER", guard.Fault{OnCall: call, Mode: guard.FaultError})
-			db.Injector = inj
-			db.RowEngine = row
-			db.BatchSize = bs
-			db.CollectStats = true
-			rel, err := db.EvalCtx(context.Background(), q)
-			out := engineRun{count: db.Count, err: err}
-			if err == nil {
-				out.width = rel.Arity()
-				for _, r := range rel.Rows {
-					out.rows = append(out.rows, rowKey(r))
+	cases := []struct {
+		query, adt string
+	}{
+		// MEMBER reaches the ADT registry (Name resolves as a field
+		// projection and never hits the injector).
+		{"fig3-hash-join", "MEMBER"},
+		{"three-way-chain", "+"},
+	}
+	for _, c := range cases {
+		q := diffCorpus()[c.query]
+		for _, call := range []int{1, 2} {
+			run := func(row bool, bs int) engineRun {
+				db := loadedDB(t)
+				inj := guard.NewInjector()
+				inj.Set(c.adt, guard.Fault{OnCall: call, Mode: guard.FaultError})
+				db.Injector = inj
+				db.RowEngine = row
+				db.BatchSize = bs
+				db.CollectStats = true
+				rel, err := db.EvalCtx(context.Background(), q)
+				out := engineRun{count: db.Count, err: err}
+				if err == nil {
+					out.width = rel.Arity()
+					for _, r := range rel.Rows {
+						out.rows = append(out.rows, rowKey(r))
+					}
 				}
+				return out
 			}
-			return out
-		}
-		ref := run(true, 0)
-		if ref.err == nil {
-			t.Fatalf("call %d: fault did not fire", call)
-		}
-		for _, bs := range []int{1, 1024} {
-			got := run(false, bs)
-			if (got.err == nil) || got.err.Error() != ref.err.Error() {
-				t.Errorf("call %d batch %d: error %v, oracle %v", call, bs, got.err, ref.err)
+			ref := run(true, 0)
+			if ref.err == nil {
+				t.Fatalf("%s call %d: fault did not fire", c.query, call)
 			}
-			if got.count != ref.count {
-				t.Errorf("call %d batch %d: counters at failure %+v, oracle %+v", call, bs, got.count, ref.count)
+			for _, bs := range []int{1, 1024} {
+				got := run(false, bs)
+				if (got.err == nil) || got.err.Error() != ref.err.Error() {
+					t.Errorf("%s call %d batch %d: error %v, oracle %v", c.query, call, bs, got.err, ref.err)
+				}
+				if got.count != ref.count {
+					t.Errorf("%s call %d batch %d: counters at failure %+v, oracle %+v", c.query, call, bs, got.count, ref.count)
+				}
 			}
 		}
 	}
@@ -544,4 +569,73 @@ func TestBatchSizeInvariance(t *testing.T) {
 			t.Errorf("batch %d: %s", bs, d)
 		}
 	}
+}
+
+// TestSearchJoinBytesPerPair bounds the bytes a batched equi self-join
+// allocates per join pair. The joined prefix is two row references and
+// only the projection copies values, so a pair costs its share of the
+// reference list, a two-value output row and the projection's dedup set
+// — about 400 bytes on go1.24/amd64. Concatenating each pair into a
+// four-value row would cost 416 bytes for that row alone and fail the
+// bound.
+func TestSearchJoinBytesPerPair(t *testing.T) {
+	const maxBytesPerPair = 520
+	cat, err := testdb.Catalog()
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := New(cat)
+	if err := db.Load("EDGE", distinctEdges(2000, 1000)); err != nil {
+		t.Fatal(err)
+	}
+	db.Parallelism = 1
+	q := lera.Search(
+		[]*term.Term{lera.Rel("EDGE"), lera.Rel("EDGE")},
+		lera.Ands(lera.Cmp("=", lera.Attr(1, 2), lera.Attr(2, 1))),
+		[]*term.Term{lera.Attr(1, 1), lera.Attr(2, 2)},
+	)
+	if _, err := db.Eval(q); err != nil { // warm the persistent join index
+		t.Fatal(err)
+	}
+	const runs = 5
+	before := db.Count.JoinPairs
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < runs; i++ {
+		if _, err := db.Eval(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&m1)
+	pairs := db.Count.JoinPairs - before
+	if pairs < runs*2000 {
+		t.Fatalf("%d join pairs over %d runs: the graph is too sparse to measure", pairs, runs)
+	}
+	perPair := float64(m1.TotalAlloc-m0.TotalAlloc) / float64(pairs)
+	t.Logf("%.0f bytes per join pair (%d pairs)", perPair, pairs/runs)
+	if perPair > maxBytesPerPair {
+		t.Errorf("equi self-join allocates %.0f bytes per join pair, bound %d", perPair, maxBytesPerPair)
+	}
+}
+
+// distinctEdges returns n distinct (Src, Dst) integer edges over nodes
+// 1..nodes, drawn from a fixed LCG so the graph is the same every run.
+func distinctEdges(n, nodes int) [][]value.Value {
+	state := uint64(0x9E3779B97F4A7C15)
+	next := func() int {
+		state = state*6364136223846793005 + 1442695040888963407
+		return int(state>>33)%nodes + 1
+	}
+	seen := map[[2]int]bool{}
+	var rows [][]value.Value
+	for len(rows) < n {
+		e := [2]int{next(), next()}
+		if seen[e] {
+			continue
+		}
+		seen[e] = true
+		rows = append(rows, []value.Value{value.Int(int64(e[0])), value.Int(int64(e[1]))})
+	}
+	return rows
 }

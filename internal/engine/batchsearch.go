@@ -4,19 +4,31 @@ package engine
 // relation evaluation order, conjunct classification, widths and the
 // empty-relation short-circuit) is shared with the oracle through
 // prepareSearch/equiJoinKeys so both engines make identical decisions;
-// only the row loops differ:
+// only the row loops differ.
+//
+// Joined rows materialize late. A prefix over relations 1..k is k row
+// references — the stored or derived rows themselves — kept in one flat
+// stride-k [][]value.Value per chunk; the first relation's rows are
+// already stride-1 prefixes. The join stages (hash, nested-loop and
+// grace) append references, the filter stages keep or drop them, and no
+// value is copied until the final projection builds the output row. The
+// stage order — join, filter, project — and every tick and counter are
+// the oracle's, which concatenates each joined pair into a fresh row
+// instead:
 //
 //   - hash-join build sides come from the persistent index set when the
-//     build relation is stored (acquireJoinIndex), probes emit matches
-//     with one amortized tick and counter update per probe row;
+//     build relation is stored (acquireJoinIndex); probes read their key
+//     columns through the references and emit matches with one amortized
+//     tick and counter update per probe row;
 //   - the filter and projection stages run over compiled predicate and
-//     projection programs: built-in comparisons over attribute slots,
-//     constants and single-attribute function calls evaluate without
-//     term-tree walks or row re-splitting, falling back to the generic
-//     evaluator (bit-identical by construction) for everything else.
-//     Compilation of comparisons is disabled when a fault injector is
-//     armed, since the compiled path would skip the injector hit the
-//     oracle's ADT call performs.
+//     projection programs: built-in comparisons over (relation, column)
+//     references, constants and single-attribute function calls evaluate
+//     without term-tree walks, falling back to the generic evaluator —
+//     which takes a prefix's k references directly as its row context,
+//     bit-identical by construction — for everything else. Compilation
+//     of comparisons is disabled when a fault injector is armed, since
+//     the compiled path would skip the injector hit the oracle's ADT call
+//     performs.
 
 import (
 	"fmt"
@@ -31,7 +43,6 @@ import (
 type searchPrep struct {
 	plan   *searchPlan
 	widths []int
-	offset []int
 	// names[i] is the stored-relation name of relation i when its term is
 	// a plain REL over a stored relation (not shadowed by a LET/FIX
 	// binding, not a view) — the index-eligible case — and "" otherwise.
@@ -76,11 +87,7 @@ func (db *DB) prepareSearch(t *term.Term, e env) (*searchPrep, *Relation, error)
 		}
 		widths[i] = len(r.Rows[0])
 	}
-	offset := make([]int, len(plan.rels)+1)
-	for i, w := range widths {
-		offset[i+1] = offset[i] + w
-	}
-	return &searchPrep{plan: plan, widths: widths, offset: offset, names: names}, nil, nil
+	return &searchPrep{plan: plan, widths: widths, names: names}, nil, nil
 }
 
 // storedRelName resolves a relation term to its stored-relation name the
@@ -100,13 +107,25 @@ func (db *DB) storedRelName(rt *term.Term, e env) string {
 	return ""
 }
 
+// colRef addresses column col of relation rel, both 0-based, within a
+// joined prefix.
+type colRef struct{ rel, col int }
+
+// attrRef resolves ATTR(i, j) against the prefix layout described by
+// widths, reporting whether the reference is within it.
+func attrRef(i, j int, widths []int) (colRef, bool) {
+	if i < 1 || i > len(widths) || j < 1 || j > widths[i-1] {
+		return colRef{}, false
+	}
+	return colRef{rel: i - 1, col: j - 1}, true
+}
+
 // equiJoinKeys finds (and marks used) the equi-join conjuncts
 // ATTR(a,x) = ATTR(b,y) connecting the joined prefix (< ri) to relation
-// ri; leftKeys are flat prefix slots, rightKeys are 0-based columns of
+// ri; leftKeys address prefix columns, rightKeys are 0-based columns of
 // relation ri. Shared by both engines so conjunct consumption is
 // identical.
-func equiJoinKeys(plan *searchPlan, ri int, offset []int) (leftKeys, rightKeys []int) {
-	attrSlot := func(i, j int) int { return offset[i-1] + j - 1 }
+func equiJoinKeys(plan *searchPlan, ri int) (leftKeys []colRef, rightKeys []int) {
 	for ci := range plan.conjs {
 		c := &plan.conjs[ci]
 		if c.used || c.expr.Kind != term.Fun || c.expr.Functor != "=" || len(c.expr.Args) != 2 {
@@ -119,16 +138,35 @@ func equiJoinKeys(plan *searchPlan, ri int, offset []int) (leftKeys, rightKeys [
 		}
 		switch {
 		case ai < ri && bi == ri:
-			leftKeys = append(leftKeys, attrSlot(ai, aj))
+			leftKeys = append(leftKeys, colRef{ai - 1, aj - 1})
 			rightKeys = append(rightKeys, bj-1)
 			c.used = true
 		case bi < ri && ai == ri:
-			leftKeys = append(leftKeys, attrSlot(bi, bj))
+			leftKeys = append(leftKeys, colRef{bi - 1, bj - 1})
 			rightKeys = append(rightKeys, aj-1)
 			c.used = true
 		}
 	}
 	return leftKeys, rightKeys
+}
+
+// probeKey gathers a prefix's join-key values into kb (reused scratch),
+// in key order; probes hash and compare it at keyPositions.
+func probeKey(kb []value.Value, prefix [][]value.Value, keys []colRef) []value.Value {
+	kb = kb[:0]
+	for _, k := range keys {
+		kb = append(kb, prefix[k.rel][k.col])
+	}
+	return kb
+}
+
+// keyPositions returns the column list 0..n-1 of a gathered probe key.
+func keyPositions(n int) []int {
+	pos := make([]int, n)
+	for i := range pos {
+		pos[i] = i
+	}
+	return pos
 }
 
 // acquireJoinIndex returns the join index for a build side: the shared
@@ -150,14 +188,16 @@ func (db *DB) evalSearchBatch(t *term.Term, e env) (*Relation, error) {
 	}
 	plan, widths := prep.plan, prep.widths
 
+	// The first relation's rows are its own stride-1 prefixes.
 	current, err := db.filterRowsBatch(plan.rels[0].Rows, plan, 1, widths[:1])
 	if err != nil {
 		return nil, err
 	}
 
 	for ri := 2; ri <= len(plan.rels); ri++ {
+		k := ri - 1 // stride of current
 		next := plan.rels[ri-1]
-		leftKeys, rightKeys := equiJoinKeys(plan, ri, prep.offset)
+		leftKeys, rightKeys := equiJoinKeys(plan, ri)
 		var joined [][]value.Value
 		if len(leftKeys) > 0 {
 			// The memory governor sizes the build side with the same
@@ -172,39 +212,40 @@ func (db *DB) evalSearchBatch(t *term.Term, e env) (*Relation, error) {
 				if !db.spillOK() {
 					return nil, db.errMemBudget("SEARCH join build", buildBytes)
 				}
-				joined, err = db.graceJoin(current, next.Rows, leftKeys, rightKeys)
+				joined, err = db.graceJoin(current, k, next.Rows, leftKeys, rightKeys)
 			} else {
 				// Hash join through the (possibly persistent) index; matches
 				// surface in (probe row, build insertion) order, exactly the
 				// oracle's output sequence.
 				ix := db.acquireJoinIndex(prep.names[ri-1], next.Rows, rightKeys)
+				keyPos := keyPositions(len(leftKeys))
 				db.chargeMem(buildBytes)
-				joined, err = db.mapRowChunks(current, func(w *DB, chunk [][]value.Value) ([][]value.Value, error) {
-					var out [][]value.Value
-					ar := &rowArena{db: w}
-					for _, prow := range chunk {
-						matches := ix.probe(prow, leftKeys)
-						if len(matches) == 0 {
+				joined, err = db.mapRowChunks(current, k, func(w *DB, chunk [][]value.Value) ([][]value.Value, error) {
+					matches := make([][][]value.Value, len(chunk)/k)
+					pairs := 0
+					var kb []value.Value
+					for i := range matches {
+						kb = probeKey(kb, chunk[i*k:(i+1)*k], leftKeys)
+						m := ix.probe(kb, keyPos)
+						if len(m) == 0 {
 							continue
 						}
-						if err := w.tickRows(len(matches)); err != nil {
+						if err := w.tickRows(len(m)); err != nil {
 							return nil, err
 						}
-						w.Count.JoinPairs += len(matches)
-						for _, rrow := range matches {
-							out = append(out, ar.join(prow, rrow))
-						}
+						w.Count.JoinPairs += len(m)
+						matches[i] = m
+						pairs += len(m)
 					}
-					return out, nil
+					return joinPrefixes(chunk, k, matches, pairs), nil
 				})
 				db.releaseMem(buildBytes)
 			}
 		} else {
 			bs := db.batchSize()
-			joined, err = db.mapRowChunks(current, func(w *DB, chunk [][]value.Value) ([][]value.Value, error) {
-				var out [][]value.Value
-				ar := &rowArena{db: w}
-				for _, prow := range chunk {
+			joined, err = db.mapRowChunks(current, k, func(w *DB, chunk [][]value.Value) ([][]value.Value, error) {
+				matches := make([][][]value.Value, len(chunk)/k)
+				for i := range matches {
 					for ni := 0; ni < len(next.Rows); {
 						n := len(next.Rows) - ni
 						if n > bs {
@@ -214,13 +255,11 @@ func (db *DB) evalSearchBatch(t *term.Term, e env) (*Relation, error) {
 							return nil, err
 						}
 						w.Count.JoinPairs += n
-						for _, rrow := range next.Rows[ni : ni+n] {
-							out = append(out, ar.join(prow, rrow))
-						}
 						ni += n
 					}
+					matches[i] = next.Rows
 				}
-				return out, nil
+				return joinPrefixes(chunk, k, matches, len(matches)*len(next.Rows)), nil
 			})
 		}
 		if err != nil {
@@ -233,29 +272,30 @@ func (db *DB) evalSearchBatch(t *term.Term, e env) (*Relation, error) {
 	}
 
 	// Final stage: leftover conjuncts (e.g. referencing no attributes)
-	// and the projection, both compiled.
+	// and the projection, both compiled. The projection is the only
+	// place a SEARCH copies values.
+	k := len(widths)
 	preds := db.compilePreds(leftoverConjuncts(plan), widths)
 	projs := compileProjs(plan.projs, widths)
 	out := &Relation{Width: len(plan.projs)}
 	bs := db.batchSize()
-	projected, err := db.mapRowChunks(current, func(w *DB, chunk [][]value.Value) ([][]value.Value, error) {
-		var kept [][]value.Value
+	projected, err := db.mapRowChunks(current, k, func(w *DB, chunk [][]value.Value) ([][]value.Value, error) {
+		kept := make([][]value.Value, 0, len(chunk)/k)
 		ar := &rowArena{db: w}
-		sc := newSplitScratch(widths)
 		for len(chunk) > 0 {
 			batch := chunk
-			if len(batch) > bs {
-				batch = batch[:bs]
+			if len(batch) > bs*k {
+				batch = batch[:bs*k]
 			}
 			chunk = chunk[len(batch):]
-			if err := w.tickRows(len(batch)); err != nil {
+			if err := w.tickRows(len(batch) / k); err != nil {
 				return nil, err
 			}
 		rowLoop:
-			for _, row := range batch {
-				sc.reset()
+			for p := 0; p < len(batch); p += k {
+				prefix := batch[p : p+k : p+k]
 				for i := range preds {
-					ok, err := preds[i].eval(w, row, sc)
+					ok, err := preds[i].eval(w, prefix)
 					if err != nil {
 						return nil, err
 					}
@@ -265,7 +305,7 @@ func (db *DB) evalSearchBatch(t *term.Term, e env) (*Relation, error) {
 				}
 				prow := ar.alloc(len(projs))
 				for i := range projs {
-					v, err := projs[i].eval(w, row, sc)
+					v, err := projs[i].eval(w, prefix)
 					if err != nil {
 						return nil, err
 					}
@@ -292,9 +332,26 @@ func (db *DB) evalSearchBatch(t *term.Term, e env) (*Relation, error) {
 	return out, nil
 }
 
+// joinPrefixes builds the stride-(k+1) output of a join stage: every
+// prefix of the stride-k list extended by each row it matched, in prefix
+// then match order, allocated once at its exact size. The join loops
+// probe (ticking and counting pairs) before they emit, so the output
+// never grows by appending.
+func joinPrefixes(prefixes [][]value.Value, k int, matches [][][]value.Value, pairs int) [][]value.Value {
+	out := make([][]value.Value, 0, pairs*(k+1))
+	for i, m := range matches {
+		prefix := prefixes[i*k : (i+1)*k]
+		for _, rrow := range m {
+			out = append(append(out, prefix...), rrow)
+		}
+	}
+	return out
+}
+
 // filterRowsBatch is the batched filterRows: the same active-conjunct
 // selection and marking, with the conjuncts compiled and ticks amortized
-// per batch.
+// per batch. rows holds stride-upto prefixes; the kept prefixes' row
+// references are copied, never their values.
 func (db *DB) filterRowsBatch(rows [][]value.Value, plan *searchPlan, upto int, widths []int) ([][]value.Value, error) {
 	var active []*conjunct
 	for ci := range plan.conjs {
@@ -309,23 +366,22 @@ func (db *DB) filterRowsBatch(rows [][]value.Value, plan *searchPlan, upto int, 
 	}
 	preds := db.compilePreds(active, widths)
 	bs := db.batchSize()
-	return db.mapRowChunks(rows, func(w *DB, chunk [][]value.Value) ([][]value.Value, error) {
+	return db.mapRowChunks(rows, upto, func(w *DB, chunk [][]value.Value) ([][]value.Value, error) {
 		var out [][]value.Value
-		sc := newSplitScratch(widths)
 		for len(chunk) > 0 {
 			batch := chunk
-			if len(batch) > bs {
-				batch = batch[:bs]
+			if len(batch) > bs*upto {
+				batch = batch[:bs*upto]
 			}
 			chunk = chunk[len(batch):]
-			if err := w.tickRows(len(batch)); err != nil {
+			if err := w.tickRows(len(batch) / upto); err != nil {
 				return nil, err
 			}
-			for _, row := range batch {
-				sc.reset()
+			for p := 0; p < len(batch); p += upto {
+				prefix := batch[p : p+upto : p+upto]
 				keep := true
 				for i := range preds {
-					b, err := preds[i].eval(w, row, sc)
+					b, err := preds[i].eval(w, prefix)
 					if err != nil {
 						return nil, err
 					}
@@ -335,7 +391,7 @@ func (db *DB) filterRowsBatch(rows [][]value.Value, plan *searchPlan, upto int, 
 					}
 				}
 				if keep {
-					out = append(out, row)
+					out = append(out, prefix...)
 				}
 			}
 		}
@@ -355,68 +411,43 @@ func leftoverConjuncts(plan *searchPlan) []*conjunct {
 	return out
 }
 
-// splitScratch lazily splits a flat prefix row into per-relation segments
-// for the generic evaluator, computed at most once per row across every
-// generic predicate and projection.
-type splitScratch struct {
-	widths []int
-	rows   [][]value.Value
-	valid  bool
-}
-
-func newSplitScratch(widths []int) *splitScratch {
-	return &splitScratch{widths: widths, rows: make([][]value.Value, len(widths))}
-}
-
-func (sc *splitScratch) reset() { sc.valid = false }
-
-func (sc *splitScratch) get(row []value.Value) [][]value.Value {
-	if !sc.valid {
-		pos := 0
-		for i, w := range sc.widths {
-			sc.rows[i] = row[pos : pos+w]
-			pos += w
-		}
-		sc.valid = true
-	}
-	return sc.rows
-}
-
-// searchPred is one compiled qualification conjunct.
+// searchPred is one compiled qualification conjunct, evaluated over one
+// joined prefix.
 type searchPred interface {
-	eval(w *DB, row []value.Value, sc *splitScratch) (bool, error)
+	eval(w *DB, prefix [][]value.Value) (bool, error)
 }
 
 // genericPred evaluates the conjunct through the ordinary evaluator —
 // the bit-identical fallback for everything the compiler does not cover.
+// The prefix's row references are exactly the evaluator's row context.
 type genericPred struct{ expr *term.Term }
 
-func (p *genericPred) eval(w *DB, row []value.Value, sc *splitScratch) (bool, error) {
-	return w.evalBool(p.expr, sc.get(row))
+func (p *genericPred) eval(w *DB, prefix [][]value.Value) (bool, error) {
+	return w.evalBool(p.expr, prefix)
 }
 
 // operand kinds of a compiled comparison.
 const (
-	opSlot  = iota // flat row slot (in-range ATTR)
+	opAttr  = iota // in-range ATTR
 	opConst        // constant
 	opField        // single-attribute function call CALL(name, ATTR)
 )
 
 type operand struct {
 	kind  int
-	slot  int
+	ref   colRef
 	cval  value.Value
 	field string
 }
 
-func (o *operand) fetch(w *DB, row []value.Value) (value.Value, error) {
+func (o *operand) fetch(w *DB, prefix [][]value.Value) (value.Value, error) {
 	switch o.kind {
-	case opSlot:
-		return row[o.slot], nil
+	case opAttr:
+		return prefix[o.ref.rel][o.ref.col], nil
 	case opConst:
 		return o.cval, nil
 	}
-	return w.callField(o.field, row[o.slot])
+	return w.callField(o.field, prefix[o.ref.rel][o.ref.col])
 }
 
 // cmpPred is a compiled built-in comparison. It reproduces the oracle
@@ -430,13 +461,13 @@ type cmpPred struct {
 	a, b operand
 }
 
-func (p *cmpPred) eval(w *DB, row []value.Value, sc *splitScratch) (bool, error) {
+func (p *cmpPred) eval(w *DB, prefix [][]value.Value) (bool, error) {
 	w.Count.PredEvals++
-	av, err := p.a.fetch(w, row)
+	av, err := p.a.fetch(w, prefix)
 	if err != nil {
 		return false, err
 	}
-	bv, err := p.b.fetch(w, row)
+	bv, err := p.b.fetch(w, prefix)
 	if err != nil {
 		return false, err
 	}
@@ -470,7 +501,7 @@ func cmpHolds(op string, c int) bool {
 	return c >= 0
 }
 
-// compilePreds compiles conjuncts against the flat row layout described
+// compilePreds compiles conjuncts against the prefix layout described
 // by widths. A conjunct compiles to a cmpPred only when it is a built-in
 // (never overridden) comparison with both operands compilable and no
 // fault injector armed; everything else falls back to the generic
@@ -503,16 +534,16 @@ func compileOperand(e *term.Term, widths []int) (operand, bool) {
 		return operand{kind: opConst, cval: e.Val}, true
 	}
 	if i, j, ok := lera.AttrIdx(e); ok {
-		if slot, inRange := flatSlot(i, j, widths); inRange {
-			return operand{kind: opSlot, slot: slot}, true
+		if ref, inRange := attrRef(i, j, widths); inRange {
+			return operand{kind: opAttr, ref: ref}, true
 		}
 		return operand{}, false
 	}
 	if e.Kind == term.Fun && e.Functor == lera.ECall && len(e.Args) == 2 {
 		if name, ok := lera.CallName(e); ok {
 			if i, j, ok2 := lera.AttrIdx(e.Args[1]); ok2 {
-				if slot, inRange := flatSlot(i, j, widths); inRange {
-					return operand{kind: opField, field: name, slot: slot}, true
+				if ref, inRange := attrRef(i, j, widths); inRange {
+					return operand{kind: opField, field: name, ref: ref}, true
 				}
 			}
 		}
@@ -520,42 +551,29 @@ func compileOperand(e *term.Term, widths []int) (operand, bool) {
 	return operand{}, false
 }
 
-// flatSlot maps ATTR(i, j) to a flat row slot, reporting whether the
-// reference is within the layout.
-func flatSlot(i, j int, widths []int) (int, bool) {
-	if i < 1 || i > len(widths) || j < 1 || j > widths[i-1] {
-		return 0, false
-	}
-	slot := j - 1
-	for _, w := range widths[:i-1] {
-		slot += w
-	}
-	return slot, true
-}
-
-// projOp is one compiled projection: a flat slot copy for a pure in-range
-// attribute reference, the generic evaluator otherwise. The slot path is
-// safe under fault injection — attribute access never calls an ADT.
+// projOp is one compiled projection: a copy of the referenced value for
+// a pure in-range attribute reference, the generic evaluator otherwise.
+// The attribute path is safe under fault injection — attribute access
+// never calls an ADT.
 type projOp struct {
-	slot int // >= 0: copy row[slot]
+	attr bool
+	ref  colRef
 	expr *term.Term
 }
 
-func (p *projOp) eval(w *DB, row []value.Value, sc *splitScratch) (value.Value, error) {
-	if p.slot >= 0 {
-		return row[p.slot], nil
+func (p *projOp) eval(w *DB, prefix [][]value.Value) (value.Value, error) {
+	if p.attr {
+		return prefix[p.ref.rel][p.ref.col], nil
 	}
-	return w.evalExpr(p.expr, sc.get(row))
+	return w.evalExpr(p.expr, prefix)
 }
 
 func compileProjs(projs []*term.Term, widths []int) []projOp {
 	out := make([]projOp, len(projs))
 	for i, p := range projs {
-		out[i] = projOp{slot: -1, expr: p}
+		out[i] = projOp{expr: p}
 		if pi, pj, ok := lera.AttrIdx(p); ok {
-			if slot, inRange := flatSlot(pi, pj, widths); inRange {
-				out[i].slot = slot
-			}
+			out[i].ref, out[i].attr = attrRef(pi, pj, widths)
 		}
 	}
 	return out

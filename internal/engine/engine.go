@@ -465,7 +465,7 @@ func (db *DB) evalOpRow(t *term.Term, e env) (*Relation, error) {
 		if err != nil {
 			return nil, err
 		}
-		kept, err := db.mapRowChunks(in.Rows, func(w *DB, chunk [][]value.Value) ([][]value.Value, error) {
+		kept, err := db.mapRowChunks(in.Rows, 1, func(w *DB, chunk [][]value.Value) ([][]value.Value, error) {
 			var out [][]value.Value
 			for _, row := range chunk {
 				if err := w.tickRow(); err != nil {

@@ -176,7 +176,9 @@ func dedupRows(rows [][]value.Value) [][]value.Value {
 	if len(rows) == 0 {
 		return rows
 	}
-	s := newRowSet()
+	// Sized to the input, which bounds the distinct rows, so the map
+	// never rehashes.
+	s := &rowSet{m: make(map[uint64][][]value.Value, len(rows))}
 	out := rows[:0]
 	for _, row := range rows {
 		if s.add(row) {

@@ -307,15 +307,20 @@ func chunkRanges(n, p int) [][2]int {
 // mapRowChunks runs fn over contiguous chunks of rows on worker clones
 // and concatenates the per-chunk outputs in chunk order — identical to
 // fn(db, rows) run serially, which is exactly what happens below the
-// parallelMinRows threshold or without a pool.
-func (db *DB) mapRowChunks(rows [][]value.Value, fn func(w *DB, chunk [][]value.Value) ([][]value.Value, error)) ([][]value.Value, error) {
-	if !db.canParallel(2) || len(rows) < parallelMinRows {
-		return fn(db, rows)
+// parallelMinRows threshold or without a pool. rows is a flat list of
+// stride-k joined prefixes (batchsearch.go; k = 1 for plain rows):
+// chunks split on prefix boundaries, and the threshold and chunk ranges
+// count prefixes, so a SEARCH chunks exactly as it would over one
+// materialized row per prefix.
+func (db *DB) mapRowChunks(prefixes [][]value.Value, k int, fn func(w *DB, chunk [][]value.Value) ([][]value.Value, error)) ([][]value.Value, error) {
+	n := len(prefixes) / k
+	if !db.canParallel(2) || n < parallelMinRows {
+		return fn(db, prefixes)
 	}
-	cks := chunkRanges(len(rows), db.Workers())
+	cks := chunkRanges(n, db.Workers())
 	outs := make([][][]value.Value, len(cks))
 	err := db.runTasks(len(cks), func(w *DB, i int) error {
-		o, err := fn(w, rows[cks[i][0]:cks[i][1]])
+		o, err := fn(w, prefixes[cks[i][0]*k:cks[i][1]*k])
 		outs[i] = o
 		return err
 	})

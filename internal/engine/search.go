@@ -53,13 +53,18 @@ func (db *DB) evalSearch(t *term.Term, e env) (*Relation, error) {
 	if err != nil {
 		return nil, err
 	}
+	// offset[i] is where relation i's columns start in a flat prefix row.
+	offset := make([]int, len(widths))
+	for i := 1; i < len(widths); i++ {
+		offset[i] = offset[i-1] + widths[i-1]
+	}
 
 	// Join left to right; rows holds flattened prefixes.
 	for ri := 2; ri <= len(plan.rels); ri++ {
 		next := plan.rels[ri-1].Rows
 		// Equi-join conjuncts ATTR(a,x) = ATTR(b,y) with one side in the
 		// prefix (< ri) and the other in relation ri select a hash join.
-		leftKeys, rightKeys := equiJoinKeys(plan, ri, prep.offset)
+		leftKeys, rightKeys := equiJoinKeys(plan, ri)
 		var joined [][]value.Value
 		if len(leftKeys) > 0 {
 			// Hash join: build on the new relation (partitioned by key
@@ -70,12 +75,12 @@ func (db *DB) evalSearch(t *term.Term, e env) (*Relation, error) {
 			if berr != nil {
 				return nil, berr
 			}
-			joined, err = db.mapRowChunks(current, func(w *DB, chunk [][]value.Value) ([][]value.Value, error) {
+			joined, err = db.mapRowChunks(current, 1, func(w *DB, chunk [][]value.Value) ([][]value.Value, error) {
 				var out [][]value.Value
 				for _, prow := range chunk {
 					var kb []value.Value
 					for _, k := range leftKeys {
-						kb = append(kb, prow[k])
+						kb = append(kb, prow[offset[k.rel]+k.col])
 					}
 					for _, rrow := range build.lookup(rowKey(kb)) {
 						if err := w.tickRow(); err != nil {
@@ -88,7 +93,7 @@ func (db *DB) evalSearch(t *term.Term, e env) (*Relation, error) {
 				return out, nil
 			})
 		} else {
-			joined, err = db.mapRowChunks(current, func(w *DB, chunk [][]value.Value) ([][]value.Value, error) {
+			joined, err = db.mapRowChunks(current, 1, func(w *DB, chunk [][]value.Value) ([][]value.Value, error) {
 				var out [][]value.Value
 				for _, prow := range chunk {
 					for _, rrow := range next {
@@ -113,7 +118,7 @@ func (db *DB) evalSearch(t *term.Term, e env) (*Relation, error) {
 
 	// Any conjuncts not yet applied (e.g. referencing no attributes).
 	out := &Relation{Width: len(plan.projs)}
-	projected, err := db.mapRowChunks(current, func(w *DB, chunk [][]value.Value) ([][]value.Value, error) {
+	projected, err := db.mapRowChunks(current, 1, func(w *DB, chunk [][]value.Value) ([][]value.Value, error) {
 		var kept [][]value.Value
 		for _, row := range chunk {
 			if err := w.tickRow(); err != nil {
@@ -180,7 +185,7 @@ func (db *DB) filterRows(rows [][]value.Value, plan *searchPlan, upto int, width
 	if len(active) == 0 {
 		return rows, nil
 	}
-	return db.mapRowChunks(rows, func(w *DB, chunk [][]value.Value) ([][]value.Value, error) {
+	return db.mapRowChunks(rows, 1, func(w *DB, chunk [][]value.Value) ([][]value.Value, error) {
 		var out [][]value.Value
 		for _, row := range chunk {
 			if err := w.tickRow(); err != nil {

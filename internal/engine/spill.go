@@ -39,6 +39,7 @@ package engine
 // as it ignores the persistent index set.
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -406,33 +407,44 @@ func decodeRow(buf []byte) ([]value.Value, error) {
 // re-hashing decoded rows; the index is what the index-ordered output
 // merge keys on.
 
-// spillPart is one buffered partition file being written.
+// spillPart is one partition file being written. Records collect in w
+// and reach the file in buffer-sized writes; readSpillPart flushes
+// before it reads.
 type spillPart struct {
 	f     *os.File
+	w     *bufio.Writer
 	buf   []byte
 	bytes int64
 	rows  int64
 }
 
+func newSpillPart(f *os.File) *spillPart { return &spillPart{f: f, w: bufio.NewWriter(f)} }
+
 func (p *spillPart) add(h, idx uint64, row []value.Value) error {
-	p.buf = p.buf[:0]
-	p.buf = binary.LittleEndian.AppendUint64(p.buf, h)
-	p.buf = binary.LittleEndian.AppendUint64(p.buf, idx)
-	p.buf = appendRow(p.buf, row)
-	var hdr [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(hdr[:], uint64(len(p.buf)))
-	if _, err := p.f.Write(hdr[:n]); err != nil {
+	p.buf = appendRow(p.buf[:0], row)
+	return p.write(h, idx, p.buf)
+}
+
+// write appends one record whose row is already encoded.
+func (p *spillPart) write(h, idx uint64, enc []byte) error {
+	var hdr [binary.MaxVarintLen64 + 16]byte
+	n := binary.PutUvarint(hdr[:], uint64(16+len(enc)))
+	binary.LittleEndian.PutUint64(hdr[n:], h)
+	binary.LittleEndian.PutUint64(hdr[n+8:], idx)
+	n += 16
+	if _, err := p.w.Write(hdr[:n]); err != nil {
 		return fmt.Errorf("engine: spill write: %w", err)
 	}
-	if _, err := p.f.Write(p.buf); err != nil {
+	if _, err := p.w.Write(enc); err != nil {
 		return fmt.Errorf("engine: spill write: %w", err)
 	}
-	p.bytes += int64(n + len(p.buf))
+	p.bytes += int64(n + len(enc))
 	p.rows++
 	return nil
 }
 
-// close removes the partition file (partitions are single-pass scratch).
+// close removes the partition file (partitions are single-pass scratch);
+// unflushed records are dropped with it.
 func (p *spillPart) close() {
 	if p.f != nil {
 		name := p.f.Name()
@@ -442,21 +454,27 @@ func (p *spillPart) close() {
 	}
 }
 
-// spillRecord is one decoded partition record.
+// spillRecord is one partition record. Its row stays encoded: a respill
+// copies the bytes as they are, and the grace passes read the original
+// row at idx, which the encoding round-trips exactly.
 type spillRecord struct {
 	hash uint64
 	idx  uint64
-	row  []value.Value
+	enc  []byte // aliases the partition's read buffer
 }
 
-// readSpillPart reads every record of a partition file in write order,
-// invoking fn for each. Reads are accounted on db.Spill.
+// readSpillPart flushes a partition's buffered records, then reads every
+// record of its file in write order, invoking fn for each. Reads are
+// accounted on db.Spill.
 func (db *DB) readSpillPart(p *spillPart, fn func(rec spillRecord) error) error {
+	if err := p.w.Flush(); err != nil {
+		return fmt.Errorf("engine: spill write: %w", err)
+	}
 	if _, err := p.f.Seek(0, io.SeekStart); err != nil {
 		return fmt.Errorf("engine: spill read: %w", err)
 	}
-	data, err := io.ReadAll(p.f)
-	if err != nil {
+	data := make([]byte, p.bytes)
+	if _, err := io.ReadFull(p.f, data); err != nil {
 		return fmt.Errorf("engine: spill read: %w", err)
 	}
 	pos := 0
@@ -468,15 +486,11 @@ func (db *DB) readSpillPart(p *spillPart, fn func(rec spillRecord) error) error 
 		pos += w
 		payload := data[pos : pos+int(n)]
 		pos += int(n)
-		row, err := decodeRow(payload[16:])
-		if err != nil {
-			return err
-		}
 		db.Spill.Reads++
 		if err := fn(spillRecord{
 			hash: binary.LittleEndian.Uint64(payload),
 			idx:  binary.LittleEndian.Uint64(payload[8:]),
-			row:  row,
+			enc:  payload[16:],
 		}); err != nil {
 			return err
 		}
@@ -511,7 +525,7 @@ func (db *DB) spillPartition(rows [][]value.Value, hashes []uint64, idxs []uint6
 				cleanup()
 				return nil, err
 			}
-			p = &spillPart{f: f}
+			p = newSpillPart(f)
 			parts[pi] = p
 		}
 		idx := uint64(i)
@@ -553,10 +567,10 @@ func (db *DB) respillPart(p *spillPart, depth int) ([]*spillPart, error) {
 			if err != nil {
 				return err
 			}
-			np = &spillPart{f: f}
+			np = newSpillPart(f)
 			parts[pi] = np
 		}
-		return np.add(rec.hash, rec.idx, rec.row)
+		return np.write(rec.hash, rec.idx, rec.enc)
 	})
 	p.close()
 	if err != nil {
@@ -612,8 +626,9 @@ func (db *DB) dedupRows(rows [][]value.Value) ([][]value.Value, error) {
 // by rowHash, each partition deduplicates independently (recursing on
 // skew), and survivors merge by original row index — which reconstructs
 // the exact first-occurrence order of the in-memory pass, over the very
-// same row slices (the decoded disk copies are only used for the
-// membership checks). The caller must own rows, like dedupRows.
+// same row slices (a partition's records name their rows by index, so
+// the membership checks compare those slices too). The caller must own
+// rows, like dedupRows.
 func (db *DB) graceDedup(rows [][]value.Value) ([][]value.Value, error) {
 	keep := make([]bool, len(rows))
 	hashes := make([]uint64, len(rows))
@@ -638,7 +653,7 @@ func (db *DB) graceDedup(rows [][]value.Value) ([][]value.Value, error) {
 		if p == nil {
 			continue
 		}
-		if err := db.dedupPart(p, keep, 0); err != nil {
+		if err := db.dedupPart(p, rows, keep, 0); err != nil {
 			return nil, err
 		}
 	}
@@ -654,7 +669,7 @@ func (db *DB) graceDedup(rows [][]value.Value) ([][]value.Value, error) {
 // dedupPart deduplicates one partition: load its records, recurse when
 // still over the grant and splittable, otherwise mark first occurrences
 // in the shared keep bitmap through a collision-checked bucket scan.
-func (db *DB) dedupPart(p *spillPart, keep []bool, depth int) error {
+func (db *DB) dedupPart(p *spillPart, rows [][]value.Value, keep []bool, depth int) error {
 	grant := db.memGrant()
 	if p.bytes > grant && depth+1 < maxSpillDepth {
 		var recs []spillRecord
@@ -693,13 +708,13 @@ func (db *DB) dedupPart(p *spillPart, keep []bool, depth int) error {
 				if sp == nil {
 					continue
 				}
-				if err := db.dedupPart(sp, keep, depth+1); err != nil {
+				if err := db.dedupPart(sp, rows, keep, depth+1); err != nil {
 					return err
 				}
 			}
 			return nil
 		}
-		return db.dedupRecords(recs, keep)
+		return db.dedupRecords(recs, rows, keep)
 	}
 	var recs []spillRecord
 	if err := db.readSpillPart(p, func(rec spillRecord) error {
@@ -708,15 +723,16 @@ func (db *DB) dedupPart(p *spillPart, keep []bool, depth int) error {
 	}); err != nil {
 		return err
 	}
-	return db.dedupRecords(recs, keep)
+	return db.dedupRecords(recs, rows, keep)
 }
 
 // dedupRecords marks the first occurrence of each distinct row of one
-// (sub)partition in the keep bitmap. Records arrive in original row
-// order (partitioning preserves relative order at every depth), so the
-// first bucket miss is the globally first occurrence within this
-// partition — and distinct rows never span partitions.
-func (db *DB) dedupRecords(recs []spillRecord, keep []bool) error {
+// (sub)partition in the keep bitmap, comparing the in-memory rows the
+// records index. Records arrive in original row order (partitioning
+// preserves relative order at every depth), so the first bucket miss is
+// the globally first occurrence within this partition — and distinct
+// rows never span partitions.
+func (db *DB) dedupRecords(recs []spillRecord, rows [][]value.Value, keep []bool) error {
 	charged := int64(0)
 	buckets := map[uint64][][]value.Value{}
 	for _, rec := range recs {
@@ -724,9 +740,10 @@ func (db *DB) dedupRecords(recs []spillRecord, keep []bool) error {
 			db.releaseMem(charged)
 			return err
 		}
+		row := rows[rec.idx]
 		dup := false
 		for _, seen := range buckets[rec.hash] {
-			if rowKeyEq(seen, rec.row) {
+			if rowKeyEq(seen, row) {
 				dup = true
 				break
 			}
@@ -734,8 +751,8 @@ func (db *DB) dedupRecords(recs []spillRecord, keep []bool) error {
 		if dup {
 			continue
 		}
-		buckets[rec.hash] = append(buckets[rec.hash], rec.row)
-		n := rowMemBytes(rec.row) + setEntryBytes
+		buckets[rec.hash] = append(buckets[rec.hash], row)
+		n := rowMemBytes(row) + setEntryBytes
 		charged += n
 		db.chargeMem(n)
 		keep[rec.idx] = true
@@ -746,20 +763,46 @@ func (db *DB) dedupRecords(recs []spillRecord, keep []bool) error {
 
 // ---- Grace hash join ----
 
+// graceProbe is the probe side of one grace join: stride-k prefixes
+// (batchsearch.go) with their key hashes, the build rows, and the
+// per-prefix match lists the partitions fill in.
+type graceProbe struct {
+	prefixes  [][]value.Value
+	k         int
+	hash      []uint64
+	leftKeys  []colRef
+	keyPos    []int
+	build     [][]value.Value
+	rightKeys []int
+	matches   [][][]value.Value
+}
+
+func (j *graceProbe) prefix(i int) [][]value.Value { return j.prefixes[i*j.k : (i+1)*j.k] }
+
 // graceJoin is the out-of-core SEARCH equi-join: build rows spill to
-// hash partitions, probe rows stay in memory routed by the same key
-// hash, and each partition builds its (bounded) joinIndex and probes its
-// probe rows in original order. Per-probe match lists collect into an
-// array indexed by probe position, so the final flatten reproduces the
-// in-memory probe-order output exactly; JoinPairs and ticks account per
-// probe row exactly as the in-memory loop does.
-func (db *DB) graceJoin(probe, build [][]value.Value, leftKeys, rightKeys []int) ([][]value.Value, error) {
-	probeHash := make([]uint64, len(probe))
-	for i, prow := range probe {
+// hash partitions, probe prefixes stay in memory routed by the same key
+// hash, and each partition builds its (bounded) joinIndex over the
+// original build rows its records index and probes its prefixes in
+// original order. Per-prefix match lists collect into an array indexed
+// by probe position, so the final flatten reproduces the in-memory
+// probe-order output exactly — stride-(k+1) prefixes of row references,
+// no value copied; JoinPairs and ticks account per probe prefix exactly
+// as the in-memory loop does.
+func (db *DB) graceJoin(probe [][]value.Value, k int, build [][]value.Value, leftKeys []colRef, rightKeys []int) ([][]value.Value, error) {
+	n := len(probe) / k
+	j := &graceProbe{
+		prefixes: probe, k: k, hash: make([]uint64, n),
+		leftKeys: leftKeys, keyPos: keyPositions(len(leftKeys)),
+		build: build, rightKeys: rightKeys,
+		matches: make([][][]value.Value, n),
+	}
+	var kb []value.Value
+	for i := range j.hash {
 		if err := db.tickRow(); err != nil {
 			return nil, err
 		}
-		probeHash[i] = hashKeyFn(prow, leftKeys)
+		kb = probeKey(kb, j.prefix(i), leftKeys)
+		j.hash[i] = hashKeyFn(kb, j.keyPos)
 	}
 	buildHash := make([]uint64, len(build))
 	for i, brow := range build {
@@ -780,36 +823,31 @@ func (db *DB) graceJoin(probe, build [][]value.Value, leftKeys, rightKeys []int)
 		}
 	}()
 	probeIdxs := make([][]int, spillFanout)
-	for i, h := range probeHash {
+	for i, h := range j.hash {
 		pi := spillNibble(h, 0)
 		probeIdxs[pi] = append(probeIdxs[pi], i)
 	}
-	out := make([][][]value.Value, len(probe))
-	ar := &rowArena{db: db}
 	for pi, p := range parts {
+		// A partition no probe prefix hashes into cannot produce matches;
+		// skip its scan entirely.
 		if p == nil || len(probeIdxs[pi]) == 0 {
-			if p != nil {
-				// A partition no probe row hashes into cannot produce
-				// matches; skip its scan entirely.
-				continue
-			}
 			continue
 		}
-		if err := db.joinPart(p, probe, probeHash, probeIdxs[pi], leftKeys, rightKeys, 0, ar, out); err != nil {
+		if err := db.joinPart(p, j, probeIdxs[pi], 0); err != nil {
 			return nil, err
 		}
 	}
-	joined := make([][]value.Value, 0, len(probe))
-	for _, matches := range out {
-		joined = append(joined, matches...)
+	pairs := 0
+	for _, m := range j.matches {
+		pairs += len(m)
 	}
-	return joined, nil
+	return joinPrefixes(probe, k, j.matches, pairs), nil
 }
 
-// joinPart joins one build partition against its probe rows, recursing
-// with the next hash nibble when the partition exceeds the grant and is
-// still splittable.
-func (db *DB) joinPart(p *spillPart, probe [][]value.Value, probeHash []uint64, idxs []int, leftKeys, rightKeys []int, depth int, ar *rowArena, out [][][]value.Value) error {
+// joinPart joins one build partition against its probe prefixes,
+// recursing with the next hash nibble when the partition exceeds the
+// grant and is still splittable.
+func (db *DB) joinPart(p *spillPart, j *graceProbe, idxs []int, depth int) error {
 	var recs []spillRecord
 	if err := db.readSpillPart(p, func(rec spillRecord) error {
 		recs = append(recs, rec)
@@ -831,30 +869,34 @@ func (db *DB) joinPart(p *spillPart, probe [][]value.Value, probeHash []uint64, 
 		}()
 		subIdxs := make([][]int, spillFanout)
 		for _, i := range idxs {
-			ni := spillNibble(probeHash[i], depth+1)
+			ni := spillNibble(j.hash[i], depth+1)
 			subIdxs[ni] = append(subIdxs[ni], i)
 		}
 		for ni, sp := range subs {
 			if sp == nil || len(subIdxs[ni]) == 0 {
 				continue
 			}
-			if err := db.joinPart(sp, probe, probeHash, subIdxs[ni], leftKeys, rightKeys, depth+1, ar, out); err != nil {
+			if err := db.joinPart(sp, j, subIdxs[ni], depth+1); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
+	// Index the original build rows the records point at: matches are
+	// references to them, as in the in-memory join.
 	rows := make([][]value.Value, len(recs))
 	charged := int64(0)
 	for i, rec := range recs {
-		rows[i] = rec.row
-		charged += rowMemBytes(rec.row) + setEntryBytes
+		rows[i] = j.build[rec.idx]
+		charged += rowMemBytes(rows[i]) + setEntryBytes
 	}
 	db.chargeMem(charged)
 	defer db.releaseMem(charged)
-	ix := buildJoinIndex(rows, rightKeys)
+	ix := buildJoinIndex(rows, j.rightKeys)
+	var kb []value.Value
 	for _, i := range idxs {
-		matches := ix.probe(probe[i], leftKeys)
+		kb = probeKey(kb, j.prefix(i), j.leftKeys)
+		matches := ix.probe(kb, j.keyPos)
 		if len(matches) == 0 {
 			continue
 		}
@@ -862,9 +904,7 @@ func (db *DB) joinPart(p *spillPart, probe [][]value.Value, probeHash []uint64, 
 			return err
 		}
 		db.Count.JoinPairs += len(matches)
-		for _, rrow := range matches {
-			out[i] = append(out[i], ar.join(probe[i], rrow))
-		}
+		j.matches[i] = matches
 	}
 	return nil
 }

@@ -111,13 +111,16 @@ func (g *Gate) Acquire(ctx context.Context) (release func(), err error) {
 }
 
 // releaseFunc returns the one-shot slot release. Callers hold no lock.
+// The count drops before the slot frees, both under g.mu, so a fast-path
+// Acquire can never take the slot while the count still includes its
+// previous holder: InFlight never reads above the slot bound.
 func (g *Gate) releaseFunc() func() {
 	var once sync.Once
 	return func() {
 		once.Do(func() {
-			<-g.slots
 			g.mu.Lock()
 			g.inFlight--
+			<-g.slots
 			g.idle.Broadcast()
 			g.mu.Unlock()
 		})

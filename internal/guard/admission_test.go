@@ -177,6 +177,51 @@ func TestGateConcurrentAccounting(t *testing.T) {
 	}
 }
 
+// TestGateInFlightNeverExceedsSlots polls InFlight while holders cycle
+// acquire/release as fast as they can: a release that frees its slot
+// before decrementing the count lets a fast-path acquire slip in between,
+// and InFlight then reads one above the bound.
+func TestGateInFlightNeverExceedsSlots(t *testing.T) {
+	const slots, holders, cycles = 2, 4, 20000
+	g := NewGate(slots, holders)
+	stop := make(chan struct{})
+	maxSeen := make(chan int)
+	go func() {
+		hi := 0
+		for {
+			select {
+			case <-stop:
+				maxSeen <- hi
+				return
+			default:
+			}
+			if in := g.InFlight(); in > hi {
+				hi = in
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for i := 0; i < holders; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for c := 0; c < cycles; c++ {
+				r, err := g.Acquire(context.Background())
+				if err != nil {
+					t.Errorf("acquire: %v", err)
+					return
+				}
+				r()
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	if hi := <-maxSeen; hi > slots {
+		t.Fatalf("InFlight read %d, above the slot bound %d", hi, slots)
+	}
+}
+
 func TestCodeOf(t *testing.T) {
 	cases := []struct {
 		err  error
